@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"sort"
 	"sync"
+
+	"archos/internal/ipc/wire"
 )
 
 // This file is the crash–recovery substrate for the decomposed server:
@@ -507,20 +509,88 @@ func (w *WAL) CorruptSnapshotByte(off int) bool {
 	return true
 }
 
-// EncodeRecords serialises a batch of records for shipping.
+// The record-batch codec: the shipping format for WAL records, built from the wire codec's typed appenders and decoded
+// through its bounds-checked Args cursor. A batch is one format-version
+// byte, the record count (uint32), then each record's fields in
+// declaration order — Seq (uint64), Op (int64), Path (string), FD
+// (int64), N (int64), Data (bytes), Client, Call and Sum (uint32) —
+// each a tagged wire value. Sum travels as sealed by Append and is not
+// recomputed, so a record damaged anywhere between the primary's log and
+// the backup's AppendShipped still fails its checksum there.
+const recordBatchVersion byte = 1
+
+// minRecordBytes is the encoded size of a record with empty Path and
+// Data: four 9-byte integers (Seq, Op, FD, N), two 5-byte length
+// prefixes and three 5-byte uint32s. A count the remaining bytes cannot
+// hold at this size is rejected before anything is allocated for it.
+const minRecordBytes = 4*9 + 2*5 + 3*5
+
+// EncodeRecords serialises a batch of records for shipping. A Path or
+// Data longer than one wire payload is an error: no decoder would
+// accept it.
 func EncodeRecords(recs []Record) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(recs); err != nil {
-		return nil, fmt.Errorf("fs: encode records: %w", err)
+	size := 1 + 5
+	for _, r := range recs {
+		if len(r.Path) > wire.MaxPayload || len(r.Data) > wire.MaxPayload {
+			return nil, fmt.Errorf("fs: encode records: seq %d exceeds the %d-byte field limit", r.Seq, wire.MaxPayload)
+		}
+		size += minRecordBytes + len(r.Path) + len(r.Data)
 	}
-	return buf.Bytes(), nil
+	out := make([]byte, 0, size)
+	out = append(out, recordBatchVersion)
+	out = wire.AppendUint32(out, uint32(len(recs)))
+	for _, r := range recs {
+		out = wire.AppendUint64(out, r.Seq)
+		out = wire.AppendInt64(out, int64(r.Op))
+		out = wire.AppendString(out, r.Path)
+		out = wire.AppendInt64(out, int64(r.FD))
+		out = wire.AppendInt64(out, int64(r.N))
+		out = wire.AppendBytes(out, r.Data)
+		out = wire.AppendUint32(out, r.Client)
+		out = wire.AppendUint32(out, r.Call)
+		out = wire.AppendUint32(out, r.Sum)
+	}
+	return out, nil
 }
 
-// DecodeRecords deserialises a shipped batch.
+// DecodeRecords deserialises a shipped batch. It rejects an unknown
+// format version, a count the input cannot hold, any malformed or
+// out-of-bounds field and trailing bytes. Decoded records share no
+// memory with data: Path and Data are copied out, and an empty Data
+// decodes as nil, so recordSum sees exactly what the encoder saw.
 func DecodeRecords(data []byte) ([]Record, error) {
-	var recs []Record
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&recs); err != nil {
+	if len(data) == 0 || data[0] != recordBatchVersion {
+		return nil, fmt.Errorf("fs: decode records: unknown batch format")
+	}
+	a := wire.NewArgs(data[1:])
+	n := a.Uint32()
+	if err := a.Err(); err != nil {
 		return nil, fmt.Errorf("fs: decode records: %w", err)
+	}
+	if rest := len(data) - 6; uint64(n) > uint64(rest/minRecordBytes) { // past the version and the tagged count
+		return nil, fmt.Errorf("fs: decode records: count %d exceeds the %d-byte batch", n, len(data))
+	}
+	recs := make([]Record, 0, n)
+	for i := uint32(0); i < n; i++ {
+		var r Record
+		r.Seq = a.Uint64()
+		r.Op = OpCode(a.Int64())
+		r.Path = a.String()
+		r.FD = int(a.Int64())
+		r.N = int(a.Int64())
+		if d := a.Bytes(); len(d) > 0 {
+			r.Data = append([]byte(nil), d...)
+		}
+		r.Client = a.Uint32()
+		r.Call = a.Uint32()
+		r.Sum = a.Uint32()
+		if err := a.Err(); err != nil {
+			return nil, fmt.Errorf("fs: decode records: record %d: %w", i, err)
+		}
+		recs = append(recs, r)
+	}
+	if a.More() {
+		return nil, fmt.Errorf("fs: decode records: trailing bytes after %d records", n)
 	}
 	return recs, nil
 }

@@ -3,13 +3,14 @@ package fs
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // logged wraps an op through the WAL discipline the server uses:
 // append, then apply, then commit — so tests replay realistic logs.
-func logged(t *testing.T, w *WAL, f *FS, r Record) ApplyResult {
+func logged(t testing.TB, w *WAL, f *FS, r Record) ApplyResult {
 	t.Helper()
 	r = w.Append(r)
 	res, err := f.Apply(r)
@@ -25,7 +26,7 @@ func logged(t *testing.T, w *WAL, f *FS, r Record) ApplyResult {
 // files, interleaved reads and writes (offsets matter), an unlink, and
 // descriptors deliberately left open so recovery must rebuild the fd
 // table, not just the tree.
-func workout(t *testing.T, w *WAL, f *FS) {
+func workout(t testing.TB, w *WAL, f *FS) {
 	t.Helper()
 	call := uint32(0)
 	do := func(r Record) ApplyResult {
@@ -338,30 +339,74 @@ func TestAppendShippedEnforcesContiguityAndChecksum(t *testing.T) {
 	}
 }
 
-func TestRecordBatchCodecRoundTrips(t *testing.T) {
+// sealed returns r with its checksum set, as Append would leave it.
+func sealed(r Record) Record {
+	r.Sum = recordSum(r)
+	return r
+}
+
+// codecBatch is a shipped batch covering every field's edge: the
+// workout's log, then a negative descriptor, an empty path with nil
+// data, and a ~48 KB payload (the ship path's byte bound).
+func codecBatch(t testing.TB) []Record {
 	f := New(64)
 	w := NewWAL(64)
 	w.EnableShipping()
 	workout(t, w, f)
+	big := make([]byte, 48<<10)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
 	recs := w.RecordsSince(0)
-	enc, err := EncodeRecords(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodeRecords(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dec) != len(recs) {
-		t.Fatalf("decoded %d records, want %d", len(dec), len(recs))
-	}
-	for i := range dec {
-		if dec[i].Sum != recordSum(dec[i]) {
-			t.Errorf("record %d lost integrity across the codec", i)
+	last := recs[len(recs)-1].Seq
+	return append(recs,
+		sealed(Record{Seq: last + 1, Op: OpClose, FD: -3, Client: 9, Call: 1}),
+		sealed(Record{Seq: last + 2, Op: OpMkdir, Client: 9, Call: 2}),
+		sealed(Record{Seq: last + 3, Op: OpWrite, FD: 4, N: -1, Data: big, Client: 9, Call: 3}))
+}
+
+func TestRecordBatchCodecRoundTrips(t *testing.T) {
+	for _, recs := range [][]Record{codecBatch(t), nil} {
+		enc, err := EncodeRecords(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := DecodeRecords(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dec) != len(recs) {
+			t.Fatalf("decoded %d records, want %d", len(dec), len(recs))
+		}
+		for i := range dec {
+			if !reflect.DeepEqual(dec[i], recs[i]) {
+				t.Errorf("record %d changed across the codec:\n got %+v\nwant %+v", i, dec[i], recs[i])
+			}
+			if dec[i].Sum != recordSum(dec[i]) {
+				t.Errorf("record %d lost integrity across the codec", i)
+			}
+		}
+		// Every damaged shape is an error, never a shorter batch.
+		for cut := 0; cut < len(enc); cut++ {
+			if _, err := DecodeRecords(enc[:cut]); err == nil {
+				t.Fatalf("batch truncated to %d of %d bytes decoded without error", cut, len(enc))
+			}
+		}
+		if _, err := DecodeRecords(append(enc[:len(enc):len(enc)], 0)); err == nil {
+			t.Error("batch with a trailing byte decoded without error")
+		}
+		for _, v := range []byte{0, recordBatchVersion + 1, 0xFF} {
+			bad := append([]byte{v}, enc[1:]...)
+			if _, err := DecodeRecords(bad); err == nil {
+				t.Errorf("batch with version byte %d decoded without error", v)
+			}
 		}
 	}
 	if _, err := DecodeRecords([]byte("not a batch")); err == nil {
 		t.Error("garbage decoded without error")
+	}
+	if _, err := EncodeRecords([]Record{{Data: make([]byte, 1<<16)}}); err == nil {
+		t.Error("a record no decoder would accept encoded without error")
 	}
 }
 

@@ -282,19 +282,19 @@ func (s *Server) logApply(h wire.Header, r fs.Record) (fs.ApplyResult, error) {
 	return res, err
 }
 
-// resultsFor shapes an ApplyResult into the wire results the live
-// handler for op would have returned — the regeneration half of
-// answering a retransmission from the log.
-func resultsFor(op fs.OpCode, res fs.ApplyResult) []interface{} {
+// appendResults appends the wire results the live handler for op would
+// have returned — the regeneration half of answering a retransmission
+// from the log.
+func appendResults(dst []byte, op fs.OpCode, res fs.ApplyResult) []byte {
 	switch op {
 	case fs.OpOpen, fs.OpCreate:
-		return []interface{}{int64(res.FD)}
+		return wire.AppendInt64(dst, int64(res.FD))
 	case fs.OpRead:
-		return []interface{}{res.Data}
+		return wire.AppendBytes(dst, res.Data)
 	case fs.OpWrite:
-		return []interface{}{int64(res.N)}
+		return wire.AppendInt64(dst, int64(res.N))
 	}
-	return nil
+	return dst
 }
 
 // procForOp echoes the procedure number into regenerated reply headers.
@@ -320,25 +320,23 @@ func (s *Server) replayFor(clientID uint32) (uint32, []byte, bool) {
 	if !ok {
 		return 0, nil, false
 	}
-	var results []interface{}
+	// The reply protocol the raw dispatcher speaks: an ok flag, then the
+	// results or the error text.
+	frame := wire.AppendBool(wire.BeginFrame(nil), sess.Err == "")
 	if sess.Err != "" {
-		results = []interface{}{false, sess.Err}
+		frame = wire.AppendString(frame, sess.Err)
 	} else {
-		results = append([]interface{}{true}, resultsFor(sess.Op, sess.Result)...)
+		frame = appendResults(frame, sess.Op, sess.Result)
 	}
-	body, err := wire.Marshal(results...)
-	if err != nil {
-		return sess.Call, nil, true // suppress the duplicate; no reply to give
-	}
-	frame, err := wire.Encode(wire.Header{
+	frame, err := wire.FinishFrame(frame, wire.Header{
 		Kind:     wire.KindReply,
 		CallID:   sess.Call,
 		ProcID:   procForOp[sess.Op],
 		ClientID: sess.Client,
 		Epoch:    s.Wire.Epoch(),
-	}, body)
+	})
 	if err != nil {
-		return sess.Call, nil, true
+		return sess.Call, nil, true // suppress the duplicate; no reply to give
 	}
 	return sess.Call, frame, true
 }
@@ -719,13 +717,19 @@ func (r *Remote) mapCallError(err error) error {
 	return fmt.Errorf("%w: %v", ErrUnavailable, err)
 }
 
-func (r *Remote) call(proc uint32, args ...interface{}) ([]interface{}, error) {
+// callRaw drives one operation through the pooled raw call path — the
+// only call path, for both arrangements: against the single server
+// directly, or through the failover client across a replica set, where
+// the call doubles as the cluster's heartbeat. Every op is charged 2
+// system calls + 2 address-space switches plus its wire time on the
+// virtual clock.
+func (r *Remote) callRaw(proc uint32, w *wire.CallArgs) (wire.Args, error) {
 	if r.breakerFastFail() {
-		return nil, ErrDegraded
+		w.Abandon()
+		return wire.Args{}, ErrDegraded
 	}
 	if r.cluster != nil {
-		// The replicated call path doubles as the cluster's heartbeat:
-		// virtual-clock-paced maintenance (deposed-primary rejoin, the
+		// Virtual-clock-paced maintenance (deposed-primary rejoin, the
 		// anti-entropy scrub) runs here, synchronously, so same-seed
 		// soaks stay byte-identical. A no-op until EnableSelfHeal.
 		r.cluster.Tick()
@@ -738,49 +742,13 @@ func (r *Remote) call(proc uint32, args ...interface{}) ([]interface{}, error) {
 	opMicros := 2*r.cm.SyscallMicros() + 2*r.cm.AddressSpaceSwitchMicros()
 	r.stats.VirtualMicros += opMicros
 	before := r.link.Clock()
-	var out []interface{}
+	var res wire.Args
 	var err error
 	if r.fo != nil {
-		out, err = r.fo.Call(proc, args...)
+		res, err = r.fo.CallRaw(proc, w)
 	} else {
-		out, err = r.client.Call(r.server.Wire, proc, args...)
+		res, err = r.client.CallRaw(r.server.Wire, proc, w)
 	}
-	r.stats.WireMicros += r.link.Clock() - before
-	r.stats.VirtualMicros += r.link.Clock() - before
-	if r.rec.Enabled() && err == nil {
-		opMicros += r.link.Clock() - before
-		r.rec.Observe("fsserver.op", opMicros)
-		r.rec.Observe(r.LatencyClass(), opMicros)
-	}
-	if err != nil {
-		return nil, r.mapCallError(err)
-	}
-	if r.br != nil {
-		r.br.onAlive()
-	}
-	return out, nil
-}
-
-// callRaw drives one operation through the pooled raw call path — the
-// decomposed arrangement's hot path against a single server. The
-// accounting (2 syscalls + 2 address-space switches, wire time on the
-// virtual clock) and the error contract are identical to call; only the
-// marshalling changes, from boxed []interface{} to in-place frames.
-// The replicated arrangement (r.fo != nil) keeps the boxed path: the
-// failover client owns retry routing across endpoints, and the two
-// generations share one wire format, so the server side serves both.
-func (r *Remote) callRaw(proc uint32, w *wire.CallArgs) (wire.Args, error) {
-	if r.breakerFastFail() {
-		w.Abandon()
-		return wire.Args{}, ErrDegraded
-	}
-	r.stats.Ops++
-	r.stats.Syscalls += 2
-	r.stats.ASSwitches += 2
-	opMicros := 2*r.cm.SyscallMicros() + 2*r.cm.AddressSpaceSwitchMicros()
-	r.stats.VirtualMicros += opMicros
-	before := r.link.Clock()
-	res, err := r.client.CallRaw(r.server.Wire, proc, w)
 	r.stats.WireMicros += r.link.Clock() - before
 	r.stats.VirtualMicros += r.link.Clock() - before
 	if r.rec.Enabled() && err == nil {
@@ -799,7 +767,8 @@ func (r *Remote) callRaw(proc uint32, w *wire.CallArgs) (wire.Args, error) {
 
 // resultFault folds a poisoned result cursor — a reply whose shape the
 // stub could not decode — into the transport-failure contract: one
-// typed ErrUnavailable, one degraded-op count, same as call.
+// typed ErrUnavailable, one degraded-op count, the same as a call the
+// transport gave up on.
 func (r *Remote) resultFault(res *wire.Args) error {
 	if err := res.Err(); err != nil {
 		r.stats.DegradedOps++
@@ -809,13 +778,6 @@ func (r *Remote) resultFault(res *wire.Args) error {
 }
 
 func (r *Remote) Open(path string) (int, error) {
-	if r.fo != nil {
-		out, err := r.call(ProcOpen, path)
-		if err != nil {
-			return -1, err
-		}
-		return int(out[0].(int64)), nil
-	}
 	w := r.client.NewCallArgs()
 	w.String(path)
 	res, err := r.callRaw(ProcOpen, w)
@@ -830,13 +792,6 @@ func (r *Remote) Open(path string) (int, error) {
 }
 
 func (r *Remote) Create(path string) (int, error) {
-	if r.fo != nil {
-		out, err := r.call(ProcCreate, path)
-		if err != nil {
-			return -1, err
-		}
-		return int(out[0].(int64)), nil
-	}
 	w := r.client.NewCallArgs()
 	w.String(path)
 	res, err := r.callRaw(ProcCreate, w)
@@ -851,10 +806,6 @@ func (r *Remote) Create(path string) (int, error) {
 }
 
 func (r *Remote) Close(fd int) error {
-	if r.fo != nil {
-		_, err := r.call(ProcClose, int64(fd))
-		return err
-	}
 	w := r.client.NewCallArgs()
 	w.Int64(int64(fd))
 	res, err := r.callRaw(ProcClose, w)
@@ -865,15 +816,6 @@ func (r *Remote) Close(fd int) error {
 }
 
 func (r *Remote) Read(fd, n int) ([]byte, error) {
-	if r.fo != nil {
-		out, err := r.call(ProcRead, int64(fd), int64(n))
-		if err != nil {
-			return nil, err
-		}
-		data := out[0].([]byte)
-		r.stats.PayloadBytes += int64(len(data))
-		return data, nil
-	}
 	w := r.client.NewCallArgs()
 	w.Int64(int64(fd))
 	w.Int64(int64(n))
@@ -894,13 +836,6 @@ func (r *Remote) Read(fd, n int) ([]byte, error) {
 
 func (r *Remote) Write(fd int, data []byte) (int, error) {
 	r.stats.PayloadBytes += int64(len(data))
-	if r.fo != nil {
-		out, err := r.call(ProcWrite, int64(fd), data)
-		if err != nil {
-			return 0, err
-		}
-		return int(out[0].(int64)), nil
-	}
 	w := r.client.NewCallArgs()
 	w.Int64(int64(fd))
 	w.Bytes(data)
@@ -916,19 +851,6 @@ func (r *Remote) Write(fd int, data []byte) (int, error) {
 }
 
 func (r *Remote) Stat(path string) (fs.Stat, error) {
-	if r.fo != nil {
-		out, err := r.call(ProcStat, path)
-		if err != nil {
-			return fs.Stat{}, err
-		}
-		return fs.Stat{
-			Ino:    out[0].(uint64),
-			Kind:   fs.FileKind(out[1].(int64)),
-			Size:   int(out[2].(int64)),
-			Blocks: int(out[3].(int64)),
-			Nlink:  int(out[4].(int64)),
-		}, nil
-	}
 	w := r.client.NewCallArgs()
 	w.String(path)
 	res, err := r.callRaw(ProcStat, w)
@@ -949,10 +871,6 @@ func (r *Remote) Stat(path string) (fs.Stat, error) {
 }
 
 func (r *Remote) Mkdir(path string) error {
-	if r.fo != nil {
-		_, err := r.call(ProcMkdir, path)
-		return err
-	}
 	w := r.client.NewCallArgs()
 	w.String(path)
 	res, err := r.callRaw(ProcMkdir, w)
@@ -963,10 +881,6 @@ func (r *Remote) Mkdir(path string) error {
 }
 
 func (r *Remote) Unlink(path string) error {
-	if r.fo != nil {
-		_, err := r.call(ProcUnlink, path)
-		return err
-	}
 	w := r.client.NewCallArgs()
 	w.String(path)
 	res, err := r.callRaw(ProcUnlink, w)
@@ -977,17 +891,6 @@ func (r *Remote) Unlink(path string) error {
 }
 
 func (r *Remote) ReadDir(path string) ([]string, error) {
-	if r.fo != nil {
-		out, err := r.call(ProcReadDir, path)
-		if err != nil {
-			return nil, err
-		}
-		names := make([]string, len(out))
-		for i, v := range out {
-			names[i] = v.(string)
-		}
-		return names, nil
-	}
 	w := r.client.NewCallArgs()
 	w.String(path)
 	res, err := r.callRaw(ProcReadDir, w)

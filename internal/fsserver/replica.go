@@ -29,8 +29,9 @@ import (
 // primary→backup links (disjoint from the client-facing file procs).
 const (
 	// ProcShip carries a batch of WAL records: args are the primary's
-	// epoch (uint32) and the gob-encoded batch ([]byte); the reply is
-	// the backup's applied sequence number (uint64) — the ack cursor.
+	// epoch (uint32) and the batch in fs.EncodeRecords's binary format
+	// ([]byte); the reply is the backup's applied sequence number
+	// (uint64) — the ack cursor.
 	// A reply below the primary's cursor is a cursor correction: the
 	// backup lost records (revival, quarantine) and the primary must
 	// rewind and re-ship.
@@ -159,6 +160,18 @@ type replicator struct {
 	link    *wire.Link // primary link: shared clock + recorder for ship spans
 }
 
+// callSeq places one replication call to peer i and reads the applied
+// sequence number every replication reply leads with. A reply of the
+// wrong shape is an error like any other failed call.
+func (rp *replicator) callSeq(i int, proc uint32, args *wire.CallArgs) (uint64, error) {
+	res, err := rp.clients[i].CallRaw(rp.peers[i], proc, args)
+	seq := res.Uint64()
+	if err == nil {
+		err = res.Err()
+	}
+	return seq, err
+}
+
 // shipTo pushes records to backup i until its cursor reaches target or
 // the ack budget runs out, in bounded chunks. client/call identify the
 // op whose acknowledgement is waiting on this ship (0,0 for catch-up
@@ -200,7 +213,10 @@ func (rp *replicator) shipTo(i int, w *fs.WAL, epoch uint32, target uint64, clie
 		if rec.Enabled() {
 			t0 = rp.link.Clock()
 		}
-		out, err := rp.clients[i].Call(rp.peers[i], ProcShip, epoch, payload)
+		args := rp.clients[i].NewCallArgs()
+		args.Uint32(epoch)
+		args.Bytes(payload)
+		seq, err := rp.callSeq(i, ProcShip, args)
 		if err != nil {
 			rp.stats.ShipFailures++
 			if rec.Enabled() {
@@ -209,7 +225,6 @@ func (rp *replicator) shipTo(i int, w *fs.WAL, epoch uint32, target uint64, clie
 			}
 			return
 		}
-		seq := out[0].(uint64)
 		if seq < rp.acked[i] {
 			// Cursor correction: the backup's true position is behind
 			// what we believed acknowledged — it revived from a kill and
@@ -263,14 +278,19 @@ func (rp *replicator) sendSnapshot(i int, w *fs.WAL, epoch uint32) bool {
 			end = len(data)
 		}
 		rp.stats.SnapChunks++
-		out, err := rp.clients[i].Call(rp.peers[i], ProcSnapInstall,
-			epoch, snapSeq, uint64(len(data)), sum, uint64(off), data[off:end])
+		args := rp.clients[i].NewCallArgs()
+		args.Uint32(epoch)
+		args.Uint64(snapSeq)
+		args.Uint64(uint64(len(data)))
+		args.Uint32(sum)
+		args.Uint64(uint64(off))
+		args.Bytes(data[off:end])
+		seq, err := rp.callSeq(i, ProcSnapInstall, args)
 		if err != nil {
 			rp.stats.ShipFailures++
 			return false
 		}
 		if end == len(data) {
-			seq := out[0].(uint64)
 			if seq < snapSeq {
 				rp.stats.ShipFailures++
 				return false
@@ -322,12 +342,14 @@ func (rp *replicator) ship(w *fs.WAL, epoch uint32, client, call uint32) {
 // crash (or promotion) interrupted.
 func (rp *replicator) resync(w *fs.WAL, epoch uint32) {
 	for i := range rp.clients {
-		out, err := rp.clients[i].Call(rp.peers[i], ProcReplSeq, epoch)
+		args := rp.clients[i].NewCallArgs()
+		args.Uint32(epoch)
+		seq, err := rp.callSeq(i, ProcReplSeq, args)
 		if err != nil {
 			rp.stats.ShipFailures++
 			continue
 		}
-		rp.acked[i] = out[0].(uint64)
+		rp.acked[i] = seq
 	}
 	rp.ship(w, epoch, 0, 0)
 }
@@ -475,14 +497,27 @@ func (b *Backup) recoverLocalLocked() {
 	b.appliedSeq = b.wal.LastSeq()
 }
 
+// maxScrubRanges is the most fingerprint ranges one ProcScrub reply
+// can carry: besides the 8-byte words, the reply payload holds the ok
+// flag (2 bytes), the applied sequence (9) and the buffer's tag and
+// length prefix (5). A larger request is refused before anything is
+// allocated for it.
+const maxScrubRanges = (wire.MaxPayload - 2 - 9 - 5) / 8
+
 // registerRepl binds the replication procedures on the backup's end of
-// the replication link.
+// the replication link, through the raw handler path: arguments are
+// read from a typed cursor, so a malformed stream is refused before any
+// state is touched, and results are appended to the reply in place.
 func (b *Backup) registerRepl() {
-	b.Repl.Register(ProcShip, func(a []interface{}) ([]interface{}, error) {
-		epoch := a[0].(uint32)
-		recs, err := fs.DecodeRecords(a[1].([]byte))
+	b.Repl.RegisterRaw(ProcShip, func(_ wire.Header, a *wire.Args, rep *wire.Reply) error {
+		epoch := a.Uint32()
+		batch := a.Bytes()
+		if err := a.Err(); err != nil {
+			return err
+		}
+		recs, err := fs.DecodeRecords(batch)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		b.mu.Lock()
 		defer b.mu.Unlock()
@@ -490,12 +525,12 @@ func (b *Backup) registerRepl() {
 			// A deposed primary limping back must not write into the
 			// new primary's log — the replication-plane face of epoch
 			// fencing.
-			return nil, fmt.Errorf("fsserver: backup promoted (epoch %d); ship rejected", b.srv.Wire.Epoch())
+			return fmt.Errorf("fsserver: backup promoted (epoch %d); ship rejected", b.srv.Wire.Epoch())
 		}
 		if epoch < b.primaryEpoch {
 			// A shipper at a lower epoch than any primacy this backup
 			// has witnessed is deposed and does not know it yet.
-			return nil, fmt.Errorf("fsserver: stale primary epoch %d (current %d); ship rejected", epoch, b.primaryEpoch)
+			return fmt.Errorf("fsserver: stale primary epoch %d (current %d); ship rejected", epoch, b.primaryEpoch)
 		}
 		b.primaryEpoch = epoch
 		// The backup's client-facing link carries the cluster recorder;
@@ -514,11 +549,12 @@ func (b *Backup) registerRepl() {
 				// Reply the true position; the primary rewinds and
 				// re-ships from there.
 				b.cursorCorrections++
-				return []interface{}{b.appliedSeq}, nil
+				rep.Uint64(b.appliedSeq)
+				return nil
 			}
 			if err := b.wal.AppendShipped(r); err != nil {
 				b.seqViolations++
-				return nil, err
+				return err
 			}
 			res, aerr := b.srv.FS.Apply(r)
 			sess := fs.SessionRecord{Client: r.Client, Call: r.Call, Op: r.Op, Result: res}
@@ -540,39 +576,50 @@ func (b *Backup) registerRepl() {
 				panic(err)
 			}
 		}
-		return []interface{}{b.appliedSeq}, nil
+		rep.Uint64(b.appliedSeq)
+		return nil
 	})
-	b.Repl.Register(ProcReplSeq, func(a []interface{}) ([]interface{}, error) {
+	b.Repl.RegisterRaw(ProcReplSeq, func(_ wire.Header, a *wire.Args, rep *wire.Reply) error {
+		var epoch uint32 // no argument: a plain cursor query
+		if a.More() {
+			epoch = a.Uint32()
+			if err := a.Err(); err != nil {
+				return err
+			}
+		}
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		if len(a) > 0 {
+		if epoch > b.primaryEpoch {
 			// A caller announcing its epoch is (re)claiming primacy:
 			// stamp it so staler shippers are fenced even before the
 			// first record arrives.
-			if epoch := a[0].(uint32); epoch > b.primaryEpoch {
-				b.primaryEpoch = epoch
-			}
+			b.primaryEpoch = epoch
 		}
 		var promotedEpoch uint32
 		if b.promoted {
 			promotedEpoch = b.srv.Wire.Epoch()
 		}
-		return []interface{}{b.appliedSeq, promotedEpoch}, nil
+		rep.Uint64(b.appliedSeq)
+		rep.Uint32(promotedEpoch)
+		return nil
 	})
-	b.Repl.Register(ProcSnapInstall, func(a []interface{}) ([]interface{}, error) {
-		epoch := a[0].(uint32)
-		snapSeq := a[1].(uint64)
-		total := a[2].(uint64)
-		sum := a[3].(uint32)
-		offset := a[4].(uint64)
-		chunk := a[5].([]byte)
+	b.Repl.RegisterRaw(ProcSnapInstall, func(_ wire.Header, a *wire.Args, rep *wire.Reply) error {
+		epoch := a.Uint32()
+		snapSeq := a.Uint64()
+		total := a.Uint64()
+		sum := a.Uint32()
+		offset := a.Uint64()
+		chunk := a.Bytes()
+		if err := a.Err(); err != nil {
+			return err
+		}
 		b.mu.Lock()
 		defer b.mu.Unlock()
 		if b.promoted {
-			return nil, fmt.Errorf("fsserver: backup promoted (epoch %d); snapshot rejected", b.srv.Wire.Epoch())
+			return fmt.Errorf("fsserver: backup promoted (epoch %d); snapshot rejected", b.srv.Wire.Epoch())
 		}
 		if epoch < b.primaryEpoch {
-			return nil, fmt.Errorf("fsserver: stale primary epoch %d (current %d); snapshot rejected", epoch, b.primaryEpoch)
+			return fmt.Errorf("fsserver: stale primary epoch %d (current %d); snapshot rejected", epoch, b.primaryEpoch)
 		}
 		b.primaryEpoch = epoch
 		if offset == 0 {
@@ -581,20 +628,23 @@ func (b *Backup) registerRepl() {
 		if offset != uint64(len(b.stage)) {
 			staged := len(b.stage)
 			b.stage = b.stage[:0]
-			return nil, fmt.Errorf("fsserver: snapshot chunk at offset %d, staged %d", offset, staged)
+			return fmt.Errorf("fsserver: snapshot chunk at offset %d, staged %d", offset, staged)
 		}
+		// The chunk views the call frame, which dies with this handler;
+		// the append copies it into the staging buffer.
 		b.stage = append(b.stage, chunk...)
 		if uint64(len(b.stage)) < total {
-			return []interface{}{b.appliedSeq}, nil
+			rep.Uint64(b.appliedSeq)
+			return nil
 		}
 		if crc32.ChecksumIEEE(b.stage) != sum {
 			b.stage = b.stage[:0]
-			return nil, fmt.Errorf("fsserver: snapshot transfer fails checksum")
+			return fmt.Errorf("fsserver: snapshot transfer fails checksum")
 		}
 		fsys, _, err := b.wal.InstallSnapshot(b.stage, snapSeq)
 		b.stage = b.stage[:0]
 		if err != nil {
-			return nil, err
+			return err
 		}
 		b.srv.mu.Lock()
 		b.srv.FS = fsys
@@ -603,28 +653,38 @@ func (b *Backup) registerRepl() {
 		if rec := b.srv.link.Recorder(); rec.Enabled() {
 			rec.Emit(obs.Event{Layer: "repl", Name: "install", Val: float64(snapSeq)})
 		}
-		return []interface{}{b.appliedSeq}, nil
+		rep.Uint64(b.appliedSeq)
+		return nil
 	})
-	b.Repl.Register(ProcScrub, func(a []interface{}) ([]interface{}, error) {
-		epoch := a[0].(uint32)
-		n := int(a[1].(uint64))
+	b.Repl.RegisterRaw(ProcScrub, func(_ wire.Header, a *wire.Args, rep *wire.Reply) error {
+		epoch := a.Uint32()
+		n := a.Uint64()
+		if err := a.Err(); err != nil {
+			return err
+		}
+		if n > maxScrubRanges {
+			// The count is the peer's to choose; the allocation is ours.
+			return fmt.Errorf("fsserver: scrub of %d ranges exceeds the %d one reply can carry", n, maxScrubRanges)
+		}
 		b.mu.Lock()
 		defer b.mu.Unlock()
 		if b.promoted {
-			return nil, fmt.Errorf("fsserver: backup promoted (epoch %d); scrub rejected", b.srv.Wire.Epoch())
+			return fmt.Errorf("fsserver: backup promoted (epoch %d); scrub rejected", b.srv.Wire.Epoch())
 		}
 		if epoch < b.primaryEpoch {
-			return nil, fmt.Errorf("fsserver: stale primary epoch %d (current %d); scrub rejected", epoch, b.primaryEpoch)
+			return fmt.Errorf("fsserver: stale primary epoch %d (current %d); scrub rejected", epoch, b.primaryEpoch)
 		}
 		b.primaryEpoch = epoch
 		b.srv.mu.Lock()
-		fps := b.srv.FS.RangeFingerprints(n)
+		fps := b.srv.FS.RangeFingerprints(int(n))
 		b.srv.mu.Unlock()
 		buf := make([]byte, 8*len(fps))
 		for i, fp := range fps {
 			binary.BigEndian.PutUint64(buf[i*8:], fp)
 		}
-		return []interface{}{b.appliedSeq, buf}, nil
+		rep.Uint64(b.appliedSeq)
+		rep.Bytes(buf)
+		return nil
 	})
 }
 

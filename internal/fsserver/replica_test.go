@@ -2,6 +2,8 @@ package fsserver
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -357,5 +359,99 @@ func TestDeposedPrimaryShipIsRejected(t *testing.T) {
 	}
 	if _, err := cluster.ActiveFS().Stat("/zombie"); err == nil {
 		t.Error("zombie ship mutated the promoted state")
+	}
+}
+
+func TestScrubRejectsUnboundedRangeCount(t *testing.T) {
+	// The range count is the peer's to choose and sizes the backup's
+	// fingerprint allocation: a count whose words cannot fit one reply
+	// frame must come back as an error reply, never as an allocation.
+	cm := kernel.NewCostModel(arch.R3000)
+	cluster := NewCluster(64, cm, DefaultReplicaConfig())
+	if err := cluster.NewClient().Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	peer := cluster.Backup(0).Repl
+	ship := wire.NewClient(cluster.ReplLink(0), wire.A)
+	scrub := func(n uint64) (wire.Args, error) {
+		args := ship.NewCallArgs()
+		args.Uint32(1)
+		args.Uint64(n)
+		return ship.CallRaw(peer, ProcScrub, args)
+	}
+	for _, n := range []uint64{maxScrubRanges + 1, 1 << 40, math.MaxUint64} {
+		_, err := scrub(n)
+		var remote *wire.RemoteError
+		if !errors.As(err, &remote) {
+			t.Errorf("scrub of %d ranges: err = %v, want a RemoteError", n, err)
+		}
+	}
+	// The largest count one reply can carry is still answered in full.
+	res, err := scrub(maxScrubRanges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Uint64()
+	if buf := res.Bytes(); res.Err() != nil || len(buf) != 8*maxScrubRanges {
+		t.Errorf("scrub of %d ranges: %d bytes (cursor %v), want %d", maxScrubRanges, len(buf), res.Err(), 8*maxScrubRanges)
+	}
+}
+
+func TestMalformedReplicationReplyIsAShipFailure(t *testing.T) {
+	// A backup answering ProcShip or ProcReplSeq with the wrong result
+	// shape costs the primary a counted ship failure and leaves its ack
+	// cursor where it was — never a type-assertion panic.
+	cm := kernel.NewCostModel(arch.R3000)
+	cluster := NewCluster(64, cm, DefaultReplicaConfig())
+	remote := cluster.NewClient()
+	if err := remote.Mkdir("/a"); err != nil {
+		t.Fatal(err)
+	}
+	p := cluster.Primary()
+	rp := p.repl
+	acked := rp.acked[0]
+	if acked != 1 {
+		t.Fatalf("setup: backup cursor at %d, want 1", acked)
+	}
+	stub := cluster.Backup(0)
+	garbled := func(_ wire.Header, _ *wire.Args, rep *wire.Reply) error {
+		rep.String("not a cursor")
+		return nil
+	}
+	stub.Repl.RegisterRaw(ProcShip, garbled)
+	stub.Repl.RegisterRaw(ProcReplSeq, garbled)
+
+	before := cluster.Stats()
+	if err := remote.Mkdir("/b"); err != nil { // acknowledged; the backup lags
+		t.Fatal(err)
+	}
+	st := cluster.Stats()
+	if st.ShipFailures != before.ShipFailures+1 || st.LagOps != before.LagOps+1 {
+		t.Errorf("garbled ship reply: ShipFailures %d→%d, LagOps %d→%d; want one more of each",
+			before.ShipFailures, st.ShipFailures, before.LagOps, st.LagOps)
+	}
+	if rp.acked[0] != acked {
+		t.Errorf("cursor moved to %d on a garbled ship reply, want %d", rp.acked[0], acked)
+	}
+
+	// A cursor re-learn (what a restarted primary runs) reads the
+	// garbled ProcReplSeq answer and then ships: two failures.
+	p.mu.Lock()
+	rp.resync(p.wal, p.Wire.Epoch())
+	p.mu.Unlock()
+	if got := cluster.Stats().ShipFailures; got != st.ShipFailures+2 {
+		t.Errorf("garbled cursor query: ShipFailures %d→%d, want 2 more", st.ShipFailures, got)
+	}
+	if rp.acked[0] != acked {
+		t.Errorf("cursor moved to %d on a garbled cursor reply, want %d", rp.acked[0], acked)
+	}
+
+	// With honest handlers back, the next op catches the backup up.
+	stub.registerRepl()
+	if err := remote.Mkdir("/c"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stub.AppliedSeq(), p.wal.LastSeq(); got != want {
+		t.Errorf("backup applied %d after repair, want %d", got, want)
 	}
 }

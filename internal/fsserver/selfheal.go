@@ -48,7 +48,8 @@ type SelfHealPolicy struct {
 	ScrubIntervalMicros float64
 
 	// ScrubRanges is the fingerprint resolution: how many per-range
-	// digests each scrub compares per peer.
+	// digests each scrub compares per peer. One reply frame carries
+	// them all, which caps it at 8189.
 	ScrubRanges int
 }
 
@@ -68,8 +69,8 @@ func (p SelfHealPolicy) Validate() error {
 	if p.ScrubIntervalMicros <= 0 || p.ScrubIntervalMicros != p.ScrubIntervalMicros {
 		return fmt.Errorf("fsserver: ScrubIntervalMicros = %v, want a positive interval", p.ScrubIntervalMicros)
 	}
-	if p.ScrubRanges < 1 {
-		return fmt.Errorf("fsserver: ScrubRanges = %d, want >= 1", p.ScrubRanges)
+	if p.ScrubRanges < 1 || p.ScrubRanges > maxScrubRanges {
+		return fmt.Errorf("fsserver: ScrubRanges = %d, want 1..%d (one reply frame of fingerprints)", p.ScrubRanges, maxScrubRanges)
 	}
 	return nil
 }
@@ -180,7 +181,10 @@ func (c *Cluster) rejoinDeposedPrimaryLocked(now float64) {
 	p.mu.Unlock()
 	if oldRepl != nil && pick < len(oldRepl.clients) {
 		probe, _ := fs.EncodeRecords(nil)
-		if _, err := oldRepl.clients[pick].Call(oldRepl.peers[pick], ProcShip, oldEpoch, probe); err != nil {
+		args := oldRepl.clients[pick].NewCallArgs()
+		args.Uint32(oldEpoch)
+		args.Bytes(probe)
+		if _, err := oldRepl.clients[pick].CallRaw(oldRepl.peers[pick], ProcShip, args); err != nil {
 			c.fencedShips++
 		}
 	}
@@ -263,15 +267,17 @@ func (c *Cluster) scrubLocked() {
 		last := act.wal.LastSeq()
 		epoch := act.Wire.Epoch()
 		for i := range rp.clients {
-			out, err := rp.clients[i].Call(rp.peers[i], ProcScrub, epoch, uint64(n))
-			if err != nil {
-				continue // down or deposed; not scrubbed this pass
+			args := rp.clients[i].NewCallArgs()
+			args.Uint32(epoch)
+			args.Uint64(uint64(n))
+			res, err := rp.clients[i].CallRaw(rp.peers[i], ProcScrub, args)
+			applied, buf := res.Uint64(), res.Bytes()
+			if err != nil || res.Err() != nil {
+				continue // down, deposed or garbled; not scrubbed this pass
 			}
-			applied := out[0].(uint64)
 			if applied != last {
 				continue // lagging; record shipping heals that
 			}
-			buf := out[1].([]byte)
 			mismatch := 0
 			for ri := 0; ri < n && ri*8+8 <= len(buf); ri++ {
 				if binary.BigEndian.Uint64(buf[ri*8:]) != local[ri] {

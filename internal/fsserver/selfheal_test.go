@@ -26,6 +26,7 @@ func TestSelfHealPolicyValidate(t *testing.T) {
 		{"NaN rejoin delay", SelfHealPolicy{RejoinDelayMicros: nan, ScrubIntervalMicros: 1, ScrubRanges: 1}, "RejoinDelayMicros"},
 		{"zero scrub interval", SelfHealPolicy{ScrubIntervalMicros: 0, ScrubRanges: 1}, "ScrubIntervalMicros"},
 		{"zero scrub ranges", SelfHealPolicy{ScrubIntervalMicros: 1, ScrubRanges: 0}, "ScrubRanges"},
+		{"scrub ranges past one reply frame", SelfHealPolicy{ScrubIntervalMicros: 1, ScrubRanges: maxScrubRanges + 1}, "ScrubRanges"},
 	}
 	cm := kernel.NewCostModel(arch.R3000)
 	for _, c := range bad {

@@ -160,15 +160,23 @@ func transportFailure(err error) bool {
 	return errors.Is(err, ErrCallFailed) || errors.Is(err, ErrDeadlineExceeded)
 }
 
-// Call invokes proc against the active endpoint, failing over — same
-// call ID, next endpoint — when the transport gives up and the failover
-// hook names a new primary. At-most-once holds across the switch: the
-// shared ClientID/CallID pair lets the new primary's reply cache and
-// durable dedup authority recognise a retransmission of an op the old
-// primary already executed and shipped. The virtual time from the first
+// NewCallArgs returns a pooled argument builder for CallRaw.
+func (f *FailoverClient) NewCallArgs() *CallArgs { return f.clients[0].NewCallArgs() }
+
+// CallRaw invokes proc with the arguments staged in w against the
+// active endpoint, failing over — same call ID, next endpoint — when
+// the transport gives up and the failover hook names a new primary.
+// The arguments are staged once: every endpoint attempt reseals the
+// same frame under the same call ID, and the builder is released once,
+// win or lose. At-most-once holds across the switch: the shared
+// ClientID/CallID pair lets the new primary's reply cache and durable
+// dedup authority recognise a retransmission of an op the old primary
+// already executed and shipped. The virtual time from the first
 // transport failure to the first reply after a switch is observed as
-// the "client.failover" histogram class.
-func (f *FailoverClient) Call(proc uint32, args ...interface{}) ([]interface{}, error) {
+// the "client.failover" histogram class. The result cursor has
+// Client.CallRaw's lifetime.
+func (f *FailoverClient) CallRaw(proc uint32, w *CallArgs) (Args, error) {
+	defer w.release()
 	f.mu.Lock()
 	f.nextID++
 	id := f.nextID
@@ -183,7 +191,7 @@ func (f *FailoverClient) Call(proc uint32, args ...interface{}) ([]interface{}, 
 	for hops := 0; hops <= len(f.clients); hops++ {
 		c, s := f.clients[active], f.servers[active]
 		c.nextID = id // keep the shared sequence visible to the endpoint client
-		out, err := c.call(s, id, proc, args...)
+		res, err := c.callRaw(s, id, proc, w)
 		if err == nil {
 			if failedAt >= 0 {
 				d := c.link.Clock() - failedAt
@@ -191,10 +199,10 @@ func (f *FailoverClient) Call(proc uint32, args ...interface{}) ([]interface{}, 
 				rec.Event("client", "failover_done", c.ClientID, id,
 					"endpoint="+strconv.Itoa(active)+" micros="+strconv.FormatFloat(d, 'g', -1, 64))
 			}
-			return out, nil
+			return res, nil
 		}
 		if !transportFailure(err) {
-			return nil, err
+			return Args{}, err
 		}
 		if failedAt < 0 {
 			failedAt = c.link.Clock()
@@ -204,7 +212,7 @@ func (f *FailoverClient) Call(proc uint32, args ...interface{}) ([]interface{}, 
 			next = hook()
 		}
 		if next < 0 || next == active {
-			return nil, err
+			return Args{}, err
 		}
 		rec.Event("client", "failover", c.ClientID, id,
 			"from="+strconv.Itoa(active)+" to="+strconv.Itoa(next))
@@ -214,5 +222,5 @@ func (f *FailoverClient) Call(proc uint32, args ...interface{}) ([]interface{}, 
 		f.mu.Unlock()
 		active = next
 	}
-	return nil, ErrCallFailed
+	return Args{}, ErrCallFailed
 }

@@ -47,12 +47,23 @@ func replicaPair(t *testing.T) (*FailoverClient, []*Server, []*Link) {
 	s0, s1 := NewServer(l0, B), NewServer(l1, B)
 	for i, s := range []*Server{s0, s1} {
 		who := int64(i)
-		s.Register(1, func(a []interface{}) ([]interface{}, error) {
-			return []interface{}{who}, nil
+		s.RegisterRaw(1, func(_ Header, _ *Args, rep *Reply) error {
+			rep.Int64(who)
+			return nil
 		})
 	}
 	c0, c1 := NewClient(l0, A), NewClient(l1, A)
 	return NewFailoverClient([]*Client{c0, c1}, []*Server{s0, s1}), []*Server{s0, s1}, []*Link{l0, l1}
+}
+
+// callWho calls proc 1 through fc and decodes which endpoint answered.
+func callWho(fc *FailoverClient) (int64, error) {
+	res, err := fc.CallRaw(1, fc.NewCallArgs())
+	if err != nil {
+		return -1, err
+	}
+	who := res.Int64()
+	return who, res.Err()
 }
 
 func TestFailoverClientSharesIdentity(t *testing.T) {
@@ -74,15 +85,13 @@ func TestFailoverClientSwitchesOnTransportFailure(t *testing.T) {
 		}
 		return -1
 	})
-	out, err := fc.Call(1)
-	if err != nil || out[0].(int64) != 0 {
-		t.Fatalf("first call: %v %v, want endpoint 0", out, err)
+	if who, err := callWho(fc); err != nil || who != 0 {
+		t.Fatalf("first call: %v %v, want endpoint 0", who, err)
 	}
 	servers[0].SetCrasher(&fatalCrasher{fired: true})
 	servers[0].ForceCrash()
-	out, err = fc.Call(1)
-	if err != nil || out[0].(int64) != 1 {
-		t.Fatalf("call after death: %v %v, want endpoint 1 to answer", out, err)
+	if who, err := callWho(fc); err != nil || who != 1 {
+		t.Fatalf("call after death: %v %v, want endpoint 1 to answer", who, err)
 	}
 	if fc.Active() != 1 {
 		t.Errorf("Active = %d, want 1", fc.Active())
@@ -91,8 +100,8 @@ func TestFailoverClientSwitchesOnTransportFailure(t *testing.T) {
 		t.Errorf("Failovers = %d, want 1", st.Failovers)
 	}
 	// Subsequent calls go straight to the new endpoint.
-	if out, err = fc.Call(1); err != nil || out[0].(int64) != 1 {
-		t.Fatalf("settled call: %v %v", out, err)
+	if who, err := callWho(fc); err != nil || who != 1 {
+		t.Fatalf("settled call: %v %v", who, err)
 	}
 }
 
@@ -100,12 +109,12 @@ func TestFailoverClientDoesNotMaskServerErrors(t *testing.T) {
 	// A RemoteError means the service answered; switching endpoints
 	// would retry an op the server deliberately refused.
 	fc, servers, _ := replicaPair(t)
-	servers[0].Register(2, func(a []interface{}) ([]interface{}, error) {
-		return nil, errors.New("no")
+	servers[0].RegisterRaw(2, func(Header, *Args, *Reply) error {
+		return errors.New("no")
 	})
 	hookCalled := false
 	fc.OnFailover(func() int { hookCalled = true; return 1 })
-	_, err := fc.Call(2)
+	_, err := fc.CallRaw(2, fc.NewCallArgs())
 	var remote *RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("err = %v, want RemoteError", err)
@@ -123,7 +132,7 @@ func TestFailoverClientGivesUpWhenHookDeclines(t *testing.T) {
 	fc.Tune(2, 0)
 	fc.OnFailover(func() int { return -1 })
 	servers[0].ForceCrash() // recoverable crash, but no restart hook: dead
-	if _, err := fc.Call(1); !errors.Is(err, ErrCallFailed) {
+	if _, err := callWho(fc); !errors.Is(err, ErrCallFailed) {
 		t.Fatalf("err = %v, want ErrCallFailed surfaced", err)
 	}
 	if fc.Active() != 0 {

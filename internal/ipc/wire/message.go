@@ -40,6 +40,11 @@ const (
 	checksumStart = 24        // offset of the checksum field within the header
 )
 
+// MaxPayload is the largest frame payload in bytes — and so the longest
+// string or byte buffer any decoder of the wire format accepts, and the
+// bound a reply built from caller-chosen sizes must respect.
+const MaxPayload = maxPayload
+
 // Reject reason codes — the single payload byte of a KindReject frame.
 const (
 	// RejectBusy: the call's execution shard had no admission-queue

@@ -891,14 +891,7 @@ func (c *Client) overExpiry() bool {
 // so injected delay on attempt zero cannot blow the budget undetected.
 func (c *Client) Call(server *Server, proc uint32, args ...interface{}) ([]interface{}, error) {
 	c.nextID++
-	return c.call(server, c.nextID, proc, args...)
-}
-
-// call is Call with the call ID chosen by the caller — the form the
-// failover client uses to retransmit one logical call, same ID, against
-// a different endpoint, so the new primary's dedup machinery recognises
-// it as the same operation.
-func (c *Client) call(server *Server, id uint32, proc uint32, args ...interface{}) ([]interface{}, error) {
+	id := c.nextID
 	buf := getBuf()
 	payload, err := AppendMarshal(buf, args...)
 	if err != nil {
@@ -1127,15 +1120,25 @@ func (c *Client) awaitReplyFrame(rec *obs.Recorder, id uint32) ([]byte, byte, er
 // alias that memory — copy them to keep them past the reply).
 func (c *Client) CallRaw(server *Server, proc uint32, w *CallArgs) (Args, error) {
 	c.nextID++
-	id := c.nextID
+	res, err := c.callRaw(server, c.nextID, proc, w)
+	w.release()
+	return res, err
+}
+
+// callRaw is CallRaw with the call ID chosen by the caller and the
+// builder left to the caller to release — the form the failover client
+// uses to retransmit one logical call, same ID, against a different
+// endpoint, so the new primary's dedup machinery recognises it as the
+// same operation. Each invocation reseals w's frame in place: the
+// header carries this client's identity and expiry, the payload is
+// untouched.
+func (c *Client) callRaw(server *Server, id uint32, proc uint32, w *CallArgs) (Args, error) {
 	frame, err := FinishFrame(w.frame, Header{Kind: KindCall, CallID: id, ProcID: proc, ClientID: c.ClientID, Expiry: c.expiryStamp()})
 	if err != nil {
-		w.release()
 		return Args{}, err
 	}
 	w.frame = frame
 	results, err := c.drive(server, id, proc, frame)
-	w.release()
 	if err != nil {
 		return Args{}, err
 	}
