@@ -224,6 +224,18 @@ func primSlug(k PrimKind) string {
 	return "unknown"
 }
 
+// primSecKeys and primHistKeys are each kind's "prim_sec.<kind>" float
+// total and "mach.prim.<kind>" histogram names, built once instead of
+// concatenated on every Run.
+var primSecKeys, primHistKeys [NumPrimKinds]string
+
+func init() {
+	for k := PrimKind(0); k < NumPrimKinds; k++ {
+		primSecKeys[k] = "prim_sec." + primSlug(k)
+		primHistKeys[k] = "mach.prim." + primSlug(k)
+	}
+}
+
 // record folds one finished run into the OS's metrics surfaces.
 func (o *OS) record(r Result) {
 	o.counters.Inc("runs")
@@ -240,11 +252,11 @@ func (o *OS) record(r Result) {
 	o.floatTotals["elapsed_sec"] += r.ElapsedSec
 	o.floatTotals["prim_sec"] += r.PrimSeconds
 	for k := PrimKind(0); k < NumPrimKinds; k++ {
-		o.floatTotals["prim_sec."+primSlug(k)] += r.PrimSecondsByKind[k]
+		o.floatTotals[primSecKeys[k]] += r.PrimSecondsByKind[k]
 	}
 	o.floatMu.Unlock()
 	for k := PrimKind(0); k < NumPrimKinds; k++ {
-		o.rec.Observe("mach.prim."+primSlug(k), r.PrimSecondsByKind[k]*1e6)
+		o.rec.Observe(primHistKeys[k], r.PrimSecondsByKind[k]*1e6)
 	}
 }
 
@@ -326,11 +338,12 @@ func networkWaitSeconds(w workload.Spec) float64 {
 type tlbSim struct {
 	t *tlb.TLB
 
-	// Region sizes in pages; cursors rotate per task.
+	// Region sizes in pages; cursors rotate per task and are indexed
+	// by task (0 is the application, 1..Servers the servers or daemon).
 	kernelRegion int
 	userRegion   int
-	kCursor      map[int]int
-	uCursor      map[int]int
+	kCursor      []int
+	uCursor      []int
 }
 
 func newTLBSim(cfg Config) *tlbSim {
@@ -338,8 +351,8 @@ func newTLBSim(cfg Config) *tlbSim {
 		t:            tlb.New(cfg.Spec.TLB),
 		kernelRegion: 24 * cfg.KernelPagesPerTask,
 		userRegion:   64 * cfg.UserPagesPerTask,
-		kCursor:      map[int]int{},
-		uCursor:      map[int]int{},
+		kCursor:      make([]int, cfg.Servers+1),
+		uCursor:      make([]int, cfg.Servers+1),
 	}
 }
 

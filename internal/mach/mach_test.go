@@ -1,6 +1,7 @@
 package mach
 
 import (
+	"sync"
 	"testing"
 
 	"archos/internal/paper"
@@ -9,6 +10,34 @@ import (
 
 func mono() *OS  { return New(DefaultConfig(Monolithic)) }
 func micro() *OS { return New(DefaultConfig(Microkernel)) }
+
+// A Run's result depends only on the OS configuration and the workload
+// (TestDeterministicRuns holds that), so the tests that only read the
+// stock results share one run of each structure over workload.All().
+var (
+	stockOnce             sync.Once
+	stockMono, stockMicro map[string]Result
+)
+
+// stock returns the stock-configuration result of w under structure s.
+func stock(s Structure, w workload.Spec) Result {
+	stockOnce.Do(func() {
+		stockMono, stockMicro = map[string]Result{}, map[string]Result{}
+		for _, w := range workload.All() {
+			stockMono[w.Name] = mono().Run(w)
+			stockMicro[w.Name] = micro().Run(w)
+		}
+	})
+	rs := stockMono
+	if s == Microkernel {
+		rs = stockMicro
+	}
+	r, ok := rs[w.Name]
+	if !ok {
+		panic("mach test: no stock result for " + w.Name)
+	}
+	return r
+}
 
 func TestZeroConfigMicrokernelRuns(t *testing.T) {
 	// A Config that never set Servers must normalise to the stock two
@@ -27,9 +56,8 @@ func TestZeroConfigMicrokernelRuns(t *testing.T) {
 func TestDecompositionMultipliesPrimitives(t *testing.T) {
 	// Table 7's first-order content: "a decomposed system will execute
 	// more low-level system functions than a monolithic system."
-	mo, mi := mono(), micro()
 	for _, w := range workload.All() {
-		a, b := mo.Run(w), mi.Run(w)
+		a, b := stock(Monolithic, w), stock(Microkernel, w)
 		if b.Syscalls <= a.Syscalls {
 			t.Errorf("%s: syscalls %d (3.0) ≤ %d (2.5)", w.Name, b.Syscalls, a.Syscalls)
 		}
@@ -49,9 +77,8 @@ func TestKernelTLBMissInflation(t *testing.T) {
 	// "the number of kernel-level TLB misses is significantly larger
 	// for all applications running under Mach 3.0 ... increase the
 	// number of second-level misses by an order of magnitude."
-	mo, mi := mono(), micro()
 	for _, w := range []workload.Spec{workload.Spellcheck, workload.Latex150, workload.AndrewLocal, workload.AndrewRemote, workload.LinkVmunix} {
-		a, b := mo.Run(w), mi.Run(w)
+		a, b := stock(Monolithic, w), stock(Microkernel, w)
 		if ratio := float64(b.KTLBMisses) / float64(a.KTLBMisses); ratio < 4 {
 			t.Errorf("%s: kernel TLB misses grew only %.1fx (2.5: %d → 3.0: %d); paper says an order of magnitude",
 				w.Name, ratio, a.KTLBMisses, b.KTLBMisses)
@@ -62,8 +89,8 @@ func TestKernelTLBMissInflation(t *testing.T) {
 func TestAndrewRemoteContextSwitchInflation(t *testing.T) {
 	// "there is a 33-fold increase in context switches for the remote
 	// Andrew benchmark on Mach 3.0 over Mach 2.5."
-	a := mono().Run(workload.AndrewRemote)
-	b := micro().Run(workload.AndrewRemote)
+	a := stock(Monolithic, workload.AndrewRemote)
+	b := stock(Microkernel, workload.AndrewRemote)
 	ratio := float64(b.ASSwitches) / float64(a.ASSwitches)
 	if ratio < 15 || ratio > 50 {
 		t.Errorf("andrew-remote AS-switch inflation %.0fx, paper says 33x", ratio)
@@ -74,10 +101,9 @@ func TestTimeInPrimitivesBand(t *testing.T) {
 	// "Under Mach 3.0, most of the applications spend between 15 and 20
 	// percent of their time executing these primitives" (latex is the
 	// low outlier at 5%).
-	mi := micro()
 	inBand := 0
 	for _, w := range workload.All() {
-		r := mi.Run(w)
+		r := stock(Microkernel, w)
 		if r.PctInPrims < 2 || r.PctInPrims > 30 {
 			t.Errorf("%s: %.1f%% in primitives — implausible", w.Name, r.PctInPrims)
 		}
@@ -94,12 +120,12 @@ func TestParthenonEmulatedInstructionsAreSyncOps(t *testing.T) {
 	// parthenon's 1.3–1.4M kernel-emulated instructions are its lock
 	// traffic (no atomic test-and-set on MIPS) under both structures.
 	for _, w := range []workload.Spec{workload.Parthenon1, workload.Parthenon10} {
-		for _, os := range []*OS{mono(), micro()} {
-			r := os.Run(w)
+		for _, st := range []Structure{Monolithic, Microkernel} {
+			r := stock(st, w)
 			lo, hi := w.SyncOps, w.SyncOps+w.SyncOps/10
 			if r.EmulInstrs < lo || r.EmulInstrs > hi {
 				t.Errorf("%s/%s: emulated instructions %d, want ≈SyncOps %d",
-					w.Name, os.Config().Structure, r.EmulInstrs, w.SyncOps)
+					w.Name, st, r.EmulInstrs, w.SyncOps)
 			}
 		}
 	}
@@ -110,9 +136,8 @@ func TestMonolithicCalibration(t *testing.T) {
 	// hold the simulation to ±35% on every count column that the paper
 	// reports (emulated instructions are a flat trickle for the
 	// non-parthenon rows and are checked by sign only).
-	os := mono()
 	for i, w := range workload.All() {
-		r := os.Run(w)
+		r := stock(Monolithic, w)
 		p := paper.Table7Mach25[i]
 		check := func(name string, got, want int64) {
 			if want == 0 {
@@ -140,9 +165,8 @@ func TestMonolithicCalibration(t *testing.T) {
 func TestMicrokernelOrdersOfMagnitude(t *testing.T) {
 	// The decomposed half: hold every count to within a factor of ~2.5
 	// of the paper — the shape target.
-	os := micro()
 	for i, w := range workload.All() {
-		r := os.Run(w)
+		r := stock(Microkernel, w)
 		p := paper.Table7Mach30[i]
 		check := func(name string, got, want int64) {
 			if want == 0 {
@@ -203,11 +227,11 @@ func TestRunAllAndStructureString(t *testing.T) {
 }
 
 func TestPrimSecondsPositiveAndBelowElapsed(t *testing.T) {
-	for _, os := range []*OS{mono(), micro()} {
+	for _, st := range []Structure{Monolithic, Microkernel} {
 		for _, w := range workload.All() {
-			r := os.Run(w)
+			r := stock(st, w)
 			if r.PrimSeconds <= 0 || r.PrimSeconds >= r.ElapsedSec {
-				t.Errorf("%s/%v: PrimSeconds %.2f vs elapsed %.2f", w.Name, os.Config().Structure, r.PrimSeconds, r.ElapsedSec)
+				t.Errorf("%s/%v: PrimSeconds %.2f vs elapsed %.2f", w.Name, st, r.PrimSeconds, r.ElapsedSec)
 			}
 		}
 	}
@@ -218,9 +242,8 @@ func TestPrimBreakdownSumsAndKTLBDominates(t *testing.T) {
 	// decomposed structure on the R3000 the slow kernel-TLB-miss path
 	// must be the largest bucket for the file-intensive workloads —
 	// the paper's third Section 5 observation.
-	os := micro()
 	for _, w := range []workload.Spec{workload.AndrewLocal, workload.AndrewRemote, workload.LinkVmunix} {
-		r := os.Run(w)
+		r := stock(Microkernel, w)
 		sum := 0.0
 		max := PrimKind(0)
 		for k := PrimKind(0); k < NumPrimKinds; k++ {
@@ -237,7 +260,7 @@ func TestPrimBreakdownSumsAndKTLBDominates(t *testing.T) {
 		}
 	}
 	// parthenon's bill is emulation (lock traps), not TLB misses.
-	r := os.Run(workload.Parthenon1)
+	r := stock(Microkernel, workload.Parthenon1)
 	if r.PrimSecondsByKind[PrimEmulation] < r.PrimSecondsByKind[PrimKTLBMisses] {
 		t.Error("parthenon: emulation should dominate its primitive time")
 	}

@@ -13,6 +13,17 @@
 //     misses a few hundred (Section 5).
 //   - The SPARC/Cypress implementation supports locking an operating-
 //     system-specified portion of its 64-entry TLB (Section 3.2).
+//
+// A TLB is a fixed array of slots. The virtual page numbers sit in
+// their own packed slice, and a lookup compares them all in turn, the
+// software stand-in for the hardware's parallel match; every machine
+// modelled here has 28 to 128 entries, so the scan stays a few cache
+// lines long. Replacement is exact LRU through an intrusive doubly-
+// linked recency list threaded through the unlocked slots: a hit moves
+// its slot to the front, invalid slots are kept at the back, and a fill
+// takes the back slot, so the victim is a free slot when one exists and
+// otherwise the least recently used unlocked entry. Locked slots are off
+// the list and never chosen.
 package tlb
 
 // RefillStyle selects who services a TLB miss.
@@ -57,16 +68,17 @@ type Config struct {
 	Lockable int
 }
 
-type entry struct {
+// slot is one TLB entry's match state plus its recency-list links.
+type slot struct {
 	valid  bool
-	vpn    uint64
-	pid    int
-	kernel bool
 	locked bool
-	lru    uint64
 	// global entries match regardless of PID (used for superpage /
 	// locked kernel mappings).
 	global bool
+	pid    int
+	// prev and next link the unlocked slots, most recent first; the
+	// list is circular through a sentinel at index Entries.
+	prev, next int32
 }
 
 // TLB is a fully-associative translation buffer with LRU replacement.
@@ -74,26 +86,17 @@ type entry struct {
 // associativity keeps the model simple and matches the 64-entry MIPS and
 // Cypress parts.)
 type TLB struct {
-	cfg     Config
-	entries []entry
-	stamp   uint64
-	// byVPN indexes valid entries by virtual page number so lookups on
-	// large simulated reference streams stay O(candidates) instead of
-	// scanning the whole array.
-	byVPN map[uint64][]int
-	// free lists invalid, unlocked slots; lruHeap is a lazy min-heap of
-	// (slot, stamp) pairs for O(log n) exact-LRU victim selection.
-	free    []int
-	lruHeap []heapItem
+	cfg Config
+	// vpns[i] is slot i's virtual page number, packed apart from the
+	// rest of the slot so the match loop reads contiguous words.
+	vpns  []uint64
+	slots []slot
+	// sentinel is the recency list's head-and-tail node.
+	sentinel int32
 
 	hits, userMisses, kernelMisses, purges int64
 	missCycles                             float64
 	locked                                 int
-}
-
-type heapItem struct {
-	idx   int
-	stamp uint64
 }
 
 // New creates a TLB. It panics on a non-positive entry count because
@@ -102,129 +105,47 @@ func New(cfg Config) *TLB {
 	if cfg.Entries <= 0 {
 		panic("tlb: entry count must be positive")
 	}
-	t := &TLB{cfg: cfg, entries: make([]entry, cfg.Entries), byVPN: make(map[uint64][]int)}
-	t.rebuildFree()
+	t := &TLB{
+		cfg:      cfg,
+		vpns:     make([]uint64, cfg.Entries),
+		slots:    make([]slot, cfg.Entries+1),
+		sentinel: int32(cfg.Entries),
+	}
+	t.Reset()
 	return t
 }
 
-// rebuildFree recomputes the free list and LRU heap from entry state
-// (used after bulk mutations: purge, lock, reset).
-func (t *TLB) rebuildFree() {
-	t.free = t.free[:0]
-	t.lruHeap = t.lruHeap[:0]
-	for i := len(t.entries) - 1; i >= 0; i-- {
-		if t.entries[i].locked {
+// unlink takes slot i off the recency list.
+func (t *TLB) unlink(i int32) {
+	s := &t.slots[i]
+	t.slots[s.prev].next = s.next
+	t.slots[s.next].prev = s.prev
+}
+
+// linkAfter puts slot i on the recency list right after slot at: after
+// the sentinel is the front (most recent), after the back slot is the
+// back.
+func (t *TLB) linkAfter(i, at int32) {
+	next := t.slots[at].next
+	t.slots[i].prev, t.slots[i].next = at, next
+	t.slots[at].next = i
+	t.slots[next].prev = i
+}
+
+// match returns the slot translating vpn for pid, or -1.
+func (t *TLB) match(pid int, vpn uint64) int32 {
+	for i, v := range t.vpns {
+		if v != vpn {
 			continue
 		}
-		if t.entries[i].valid {
-			t.heapPush(heapItem{idx: i, stamp: t.entries[i].lru})
-		} else {
-			t.free = append(t.free, i)
+		// Untagged TLBs have no notion of process: whatever survives a
+		// (purging) context switch matches on virtual page alone, just
+		// like the hardware. Tagged TLBs match PID or a global entry.
+		if s := &t.slots[i]; s.valid && (!t.cfg.Tagged || s.global || s.pid == pid) {
+			return int32(i)
 		}
 	}
-}
-
-func (t *TLB) heapPush(it heapItem) {
-	// Lazy deletion lets stale items accumulate; compact when the heap
-	// far outgrows the entry array. (Compaction re-enters heapPush via
-	// rebuildFree only with a small heap, so this cannot recurse.)
-	if len(t.lruHeap) > 8*len(t.entries) {
-		live := t.lruHeap[:0]
-		for _, old := range t.lruHeap {
-			e := &t.entries[old.idx]
-			if e.valid && !e.locked && e.lru == old.stamp {
-				live = append(live, old)
-			}
-		}
-		t.lruHeap = live
-		// Restore heap order.
-		sortHeap(t.lruHeap)
-	}
-	t.lruHeap = append(t.lruHeap, it)
-	i := len(t.lruHeap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if t.lruHeap[p].stamp <= t.lruHeap[i].stamp {
-			break
-		}
-		t.lruHeap[p], t.lruHeap[i] = t.lruHeap[i], t.lruHeap[p]
-		i = p
-	}
-}
-
-// sortHeap re-establishes the min-heap invariant by stamp.
-func sortHeap(h []heapItem) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-}
-
-func siftDown(h []heapItem, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h[l].stamp < h[small].stamp {
-			small = l
-		}
-		if r < len(h) && h[r].stamp < h[small].stamp {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-}
-
-func (t *TLB) heapPop() (heapItem, bool) {
-	if len(t.lruHeap) == 0 {
-		return heapItem{}, false
-	}
-	top := t.lruHeap[0]
-	last := len(t.lruHeap) - 1
-	t.lruHeap[0] = t.lruHeap[last]
-	t.lruHeap = t.lruHeap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && t.lruHeap[l].stamp < t.lruHeap[small].stamp {
-			small = l
-		}
-		if r < last && t.lruHeap[r].stamp < t.lruHeap[small].stamp {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		t.lruHeap[i], t.lruHeap[small] = t.lruHeap[small], t.lruHeap[i]
-		i = small
-	}
-	return top, true
-}
-
-// index registers entry slot i under its VPN.
-func (t *TLB) index(i int) {
-	t.byVPN[t.entries[i].vpn] = append(t.byVPN[t.entries[i].vpn], i)
-}
-
-// unindex removes slot i from its VPN's candidate list.
-func (t *TLB) unindex(i int) {
-	vpn := t.entries[i].vpn
-	s := t.byVPN[vpn]
-	for j, v := range s {
-		if v == i {
-			s[j] = s[len(s)-1]
-			s = s[:len(s)-1]
-			break
-		}
-	}
-	if len(s) == 0 {
-		delete(t.byVPN, vpn)
-	} else {
-		t.byVPN[vpn] = s
-	}
+	return -1
 }
 
 // Config returns the TLB's configuration.
@@ -235,20 +156,13 @@ func (t *TLB) Config() Config { return t.cfg }
 // hit and the miss penalty in cycles (0 on hit). On a miss the entry is
 // filled (the refill handler or walker ran).
 func (t *TLB) Lookup(pid int, vpn uint64, kernel bool) (hit bool, penalty float64) {
-	t.stamp++
-	for _, i := range t.byVPN[vpn] {
-		e := &t.entries[i]
-		// Untagged TLBs have no notion of process: whatever survives a
-		// (purging) context switch matches on virtual page alone, just
-		// like the hardware. Tagged TLBs match PID or a global entry.
-		if e.valid && e.vpn == vpn && (!t.cfg.Tagged || e.global || e.pid == pid) {
-			e.lru = t.stamp
-			if !e.locked {
-				t.heapPush(heapItem{idx: i, stamp: t.stamp})
-			}
-			t.hits++
-			return true, 0
+	if i := t.match(pid, vpn); i >= 0 {
+		if !t.slots[i].locked && t.slots[t.sentinel].next != i {
+			t.unlink(i)
+			t.linkAfter(i, t.sentinel)
 		}
+		t.hits++
+		return true, 0
 	}
 	if kernel {
 		t.kernelMisses++
@@ -258,64 +172,71 @@ func (t *TLB) Lookup(pid int, vpn uint64, kernel bool) (hit bool, penalty float6
 		penalty = t.cfg.UserMissCycles
 	}
 	t.missCycles += penalty
-	t.fill(entry{valid: true, vpn: vpn, pid: pid, kernel: kernel, lru: t.stamp})
+	victim := t.slots[t.sentinel].prev
+	if victim == t.sentinel {
+		// Every entry locked: drop the fill. The OS misconfigured the
+		// lock range; real hardware would fault, we simply do not cache.
+		return false, penalty
+	}
+	t.unlink(victim)
+	t.linkAfter(victim, t.sentinel)
+	s := &t.slots[victim]
+	s.valid, s.global, s.pid = true, false, pid
+	t.vpns[victim] = vpn
 	return false, penalty
 }
 
-func (t *TLB) fill(e entry) {
-	victim := -1
-	if n := len(t.free); n > 0 {
-		victim = t.free[n-1]
-		t.free = t.free[:n-1]
-	} else {
-		// Pop lazily-invalidated heap items until the top reflects a
-		// live, unlocked entry at its current stamp (exact LRU).
-		for {
-			it, ok := t.heapPop()
-			if !ok {
-				break
-			}
-			en := &t.entries[it.idx]
-			if en.valid && !en.locked && en.lru == it.stamp {
-				victim = it.idx
-				break
-			}
+// Lock pins a translation for vpn (global, kernel) into the TLB,
+// consuming one lockable slot. It reuses a slot already translating vpn,
+// else a free slot, else the least recently used unlocked entry, and
+// drops every other entry for vpn so no lookup can match two slots.
+// Re-locking a pinned vpn succeeds without using quota. It returns false
+// when the lockable quota is exhausted.
+func (t *TLB) Lock(vpn uint64) bool {
+	target := int32(-1)
+	for i, v := range t.vpns {
+		if v != vpn || !t.slots[i].valid {
+			continue
+		}
+		if t.slots[i].locked {
+			return true
+		}
+		if target < 0 {
+			target = int32(i)
 		}
 	}
-	if victim == -1 {
-		// Every entry locked: drop the fill. The OS misconfigured the
-		// lock range; real hardware would fault, we simply do not cache.
-		return
-	}
-	if t.entries[victim].valid {
-		t.unindex(victim)
-	}
-	t.entries[victim] = e
-	t.index(victim)
-	t.heapPush(heapItem{idx: victim, stamp: e.lru})
-}
-
-// Lock pins a translation for vpn (global, kernel) into the TLB,
-// consuming one lockable slot. It returns false when the lockable quota
-// is exhausted.
-func (t *TLB) Lock(vpn uint64) bool {
 	if t.locked >= t.cfg.Lockable {
 		return false
 	}
-	t.stamp++
-	for i := range t.entries {
-		if !t.entries[i].valid || !t.entries[i].locked {
-			if t.entries[i].valid {
-				t.unindex(i)
-			}
-			t.entries[i] = entry{valid: true, vpn: vpn, kernel: true, locked: true, lru: t.stamp, global: true}
-			t.index(i)
-			t.locked++
-			t.rebuildFree()
-			return true
+	if target < 0 {
+		target = t.slots[t.sentinel].prev
+		if target == t.sentinel {
+			return false
 		}
 	}
-	return false
+	for i, v := range t.vpns {
+		if v == vpn && int32(i) != target && t.slots[i].valid {
+			t.invalidate(int32(i))
+		}
+	}
+	t.unlink(target)
+	s := &t.slots[target]
+	s.valid, s.locked, s.global, s.pid = true, true, true, 0
+	t.vpns[target] = vpn
+	t.locked++
+	return true
+}
+
+// invalidate empties slot i and puts it at the back of the recency list.
+func (t *TLB) invalidate(i int32) {
+	s := &t.slots[i]
+	if s.locked {
+		t.locked--
+	} else {
+		t.unlink(i)
+	}
+	s.valid, s.locked, s.global, s.pid = false, false, false, 0
+	t.linkAfter(i, t.slots[t.sentinel].prev)
 }
 
 // InvalidateVPN removes any entry translating vpn for pid (a single-
@@ -323,18 +244,11 @@ func (t *TLB) Lock(vpn uint64) bool {
 // number of entries removed.
 func (t *TLB) InvalidateVPN(pid int, vpn uint64) int {
 	n := 0
-	cands := append([]int(nil), t.byVPN[vpn]...)
-	for _, i := range cands {
-		e := &t.entries[i]
-		if e.valid && e.vpn == vpn && (e.pid == pid || e.global || !t.cfg.Tagged) {
-			t.unindex(i)
-			wasLocked := e.locked
-			*e = entry{}
+	for i, v := range t.vpns {
+		s := &t.slots[i]
+		if v == vpn && s.valid && (s.pid == pid || s.global || !t.cfg.Tagged) {
+			t.invalidate(int32(i))
 			n++
-			if wasLocked {
-				t.locked--
-			}
-			t.free = append(t.free, i)
 		}
 	}
 	return n
@@ -351,16 +265,14 @@ func (t *TLB) ContextSwitch(pid int) (penalty float64) {
 }
 
 // Purge invalidates every non-locked entry and returns PurgeCycles.
+// Every slot left on the recency list is then invalid, so its order
+// needs no repair.
 func (t *TLB) Purge() float64 {
-	for i := range t.entries {
-		if !t.entries[i].locked {
-			if t.entries[i].valid {
-				t.unindex(i)
-			}
-			t.entries[i] = entry{}
+	for i := range t.vpns {
+		if !t.slots[i].locked {
+			t.slots[i].valid = false
 		}
 	}
-	t.rebuildFree()
 	t.purges++
 	return t.cfg.PurgeCycles
 }
@@ -368,8 +280,8 @@ func (t *TLB) Purge() float64 {
 // Valid returns the number of valid entries.
 func (t *TLB) Valid() int {
 	n := 0
-	for i := range t.entries {
-		if t.entries[i].valid {
+	for i := range t.vpns {
+		if t.slots[i].valid {
 			n++
 		}
 	}
@@ -386,12 +298,14 @@ func (t *TLB) MissCycles() float64 { return t.missCycles }
 
 // Reset invalidates all entries (including locked) and clears statistics.
 func (t *TLB) Reset() {
-	for i := range t.entries {
-		t.entries[i] = entry{}
+	s := t.sentinel
+	t.slots[s].prev, t.slots[s].next = s, s
+	for i := range t.vpns {
+		t.vpns[i] = 0
+		t.slots[i] = slot{}
+		t.linkAfter(int32(i), t.slots[s].prev)
 	}
-	t.byVPN = make(map[uint64][]int)
-	t.stamp, t.hits, t.userMisses, t.kernelMisses, t.purges = 0, 0, 0, 0, 0
+	t.hits, t.userMisses, t.kernelMisses, t.purges = 0, 0, 0, 0
 	t.missCycles = 0
 	t.locked = 0
-	t.rebuildFree()
 }
